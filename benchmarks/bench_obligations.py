@@ -20,12 +20,11 @@ Four configurations of the same check (Paxos, R rounds x N nodes):
     the dominant obligations (I3, LM pair conditions) are sharded off the
     universe size so the pool has enough units to saturate its workers.
 ``serial_resilient``
-    The serial backend with the full resilience layer armed on the happy
-    path: a (generous) per-obligation deadline and an fsync'd checkpoint
-    journal, with no fault ever firing. The JSON records the overhead
-    against ``serial`` (``resilience_overhead``); the design target is
-    under 3% — arming deadlines and journaling must be cheap enough to
-    leave on for long runs.
+    The serial backend with the resilience layer armed on the happy path:
+    a (generous) per-obligation deadline, with no fault ever firing. The
+    JSON records the overhead against ``serial``
+    (``resilience_overhead``); the design target is under 3% — arming
+    deadlines must be cheap enough to leave on for long runs.
 
 A ``representation`` section attributes the interned/columnar store
 representation layer by layer: ``serial_dict`` re-runs the serial check
@@ -284,17 +283,16 @@ def _protocol_verifiers() -> dict:
 
 
 def _report_cache_stats(report) -> dict:
-    obligations = cached = resumed = 0
+    obligations = cached = 0
     stats = {"hits": 0, "misses": 0, "invalidations": 0, "uncacheable": 0}
     for _, result in report.is_results:
         obligations += result.num_obligations
         cached += len(result.cached_keys)
-        resumed += len(result.resumed_keys)
         for key in stats:
             stats[key] += (result.rcache_stats or {}).get(key, 0)
     return {
         "obligations": obligations,
-        "executed": obligations - cached - resumed,
+        "executed": obligations - cached,
         "cached": cached,
         **stats,
     }
@@ -638,6 +636,110 @@ def run_smoke(rounds: int = 1, nodes: int = 1) -> dict:
     }
 
 
+def measure_resilience(app, init_global, tracer=None, cycles: int = 1):
+    """Serial vs serial_resilient, best of each side.
+
+    The comparison is a small-percentage question asked of noisy single
+    measurements, and successive checks within one process slow down by
+    up to ~10% (allocator/GC drift) — measuring all serial reps before
+    all resilient ones would bill that drift to resilience. Interleave
+    the reps in ABBA order (``cycles`` times) and take the best of each
+    side (a single pair under --trace, where doubled spans would pollute
+    the trace file). Returns the serial result, time, and cache
+    snapshots, then the resilient result and time.
+    """
+    plan = ["serial", "resilient"]
+    if tracer is None:
+        plan = ["serial", "resilient", "resilient", "serial"] * cycles
+
+    def _run_serial():
+        reset_process_cache()
+        combine.cache_clear()
+        universe = _build_universe(app, init_global, uncached=False)
+        result, elapsed = _timed_check(
+            app, universe, jobs=1, tracer=tracer, scope="serial"
+        )
+        # Snapshot here and drop the universe: keeping it alive into the
+        # next rep would grow the heap the collector scans under it.
+        caches = (
+            process_cache().as_dict(),
+            universe.context_cache_stats.as_dict(),
+        )
+        return result, elapsed, caches
+
+    def _run_resilient():
+        reset_process_cache()
+        combine.cache_clear()
+        universe = _build_universe(app, init_global, uncached=False)
+        scheduler = SerialScheduler(
+            resilience=ResilienceConfig(timeout_per_obligation=300.0)
+        )
+        result, elapsed = _timed_check(
+            app, universe, scheduler=scheduler,
+            tracer=tracer, scope="serial_resilient",
+        )
+        return result, elapsed
+
+    serial_time = resilient_time = None
+    serial_result = resilient_result = None
+    serial_cache = context_cache = None
+    for kind in plan:
+        if kind == "serial":
+            serial_result, elapsed, caches = _run_serial()
+            if serial_time is None or elapsed < serial_time:
+                serial_time = elapsed
+                serial_cache, context_cache = caches
+        else:
+            resilient_result, elapsed = _run_resilient()
+            if resilient_time is None or elapsed < resilient_time:
+                resilient_time = elapsed
+    return (
+        serial_result, serial_time, serial_cache, context_cache,
+        resilient_result, resilient_time,
+    )
+
+
+def _overhead_section(serial_time, resilient_time, resilient_result) -> dict:
+    """serial_resilient vs serial_memoized: the cost of arming the
+    per-obligation SIGALRM deadline with no fault firing. Design target:
+    < 3%."""
+    return {
+        "seconds": round(resilient_time - serial_time, 3),
+        "pct_vs_serial": round((resilient_time / serial_time - 1) * 100, 2),
+        "target_pct": 3.0,
+        "deadline_seconds": 300.0,
+        "obligations": resilient_result.num_obligations,
+    }
+
+
+def rerecord_resilience(rounds: int, nodes: int, output: Path) -> dict:
+    """Re-measure only ``resilience_overhead`` (five ABBA cycles) and
+    write it into the recorded benchmark at ``output``, leaving every
+    other section as recorded. The full benchmark's pool sections need
+    minutes and gigabytes; this comparison is serial only."""
+    app = paxos.make_sequentialization(rounds, nodes)
+    init_global = paxos.initial_global(rounds, nodes)
+    serial_result, serial_time, _, _, resilient_result, resilient_time = (
+        measure_resilience(app, init_global, cycles=5)
+    )
+    assert _condition_map(serial_result) == _condition_map(resilient_result), (
+        "resilience-armed condition map diverges from serial"
+    )
+    payload = json.loads(output.read_text())
+    section = _overhead_section(serial_time, resilient_time, resilient_result)
+    section.update(
+        instance={"rounds": rounds, "num_nodes": nodes},
+        serial_seconds=round(serial_time, 3),
+        resilient_seconds=round(resilient_time, 3),
+        cpus=os.cpu_count() or 1,
+        python=sys.version.split()[0],
+        note="re-measured alone (--resilience-only, best of 10 per side); "
+        "wall_time_seconds is from the last full run",
+    )
+    payload["resilience_overhead"] = section
+    return payload
+
+
 def run_benchmark(rounds: int, nodes: int, jobs: int, tracer=None) -> dict:
     app = paxos.make_sequentialization(rounds, nodes)
     init_global = paxos.initial_global(rounds, nodes)
@@ -649,56 +751,10 @@ def run_benchmark(rounds: int, nodes: int, jobs: int, tracer=None) -> dict:
     with caching_disabled():
         baseline_result, baseline_time = _timed_check(app, baseline_universe)
 
-    # The serial vs serial_resilient comparison is a small-percentage
-    # question asked of noisy single measurements, and successive checks
-    # within one process slow down by up to ~10% (allocator/GC drift) —
-    # measuring all serial reps before all resilient ones would bill that
-    # drift to resilience. Interleave the reps in ABBA order and take the
-    # best of each side (single pair under --trace, where doubled spans
-    # would pollute the trace file).
-    plan = ["serial", "resilient"]
-    if tracer is None:
-        plan += ["resilient", "serial"]
-
-    def _run_serial():
-        reset_process_cache()
-        combine.cache_clear()
-        universe = _build_universe(app, init_global, uncached=False)
-        result, elapsed = _timed_check(
-            app, universe, jobs=1, tracer=tracer, scope="serial"
-        )
-        return result, elapsed, universe
-
-    def _run_resilient():
-        reset_process_cache()
-        combine.cache_clear()
-        universe = _build_universe(app, init_global, uncached=False)
-        with tempfile.TemporaryDirectory(prefix="bench-ckpt-") as ckpt_dir:
-            scheduler = SerialScheduler(
-                resilience=ResilienceConfig(
-                    timeout_per_obligation=300.0, checkpoint_dir=ckpt_dir
-                )
-            )
-            result, elapsed = _timed_check(
-                app, universe, scheduler=scheduler,
-                tracer=tracer, scope="serial_resilient",
-            )
-        return result, elapsed
-
-    serial_time = resilient_time = None
-    serial_result = resilient_result = None
-    serial_cache = context_cache = None
-    for kind in plan:
-        if kind == "serial":
-            serial_result, elapsed, universe = _run_serial()
-            if serial_time is None or elapsed < serial_time:
-                serial_time = elapsed
-                serial_cache = process_cache().as_dict()
-                context_cache = universe.context_cache_stats.as_dict()
-        else:
-            resilient_result, elapsed = _run_resilient()
-            if resilient_time is None or elapsed < resilient_time:
-                resilient_time = elapsed
+    (
+        serial_result, serial_time, serial_cache, context_cache,
+        resilient_result, resilient_time,
+    ) = measure_resilience(app, init_global, tracer=tracer)
 
     # --- process pool, cold workers (no pre-warm) --------------------------
     reset_process_cache()
@@ -788,16 +844,9 @@ def run_benchmark(rounds: int, nodes: int, jobs: int, tracer=None) -> dict:
             "parallel_cold": round(cold_time, 3),
             "parallel_warm": round(warm_time, 3),
         },
-        "resilience_overhead": {
-            # serial_resilient vs serial_memoized: the cost of arming the
-            # per-obligation SIGALRM deadline plus the fsync'd checkpoint
-            # journal with no fault firing. Design target: < 3%.
-            "seconds": round(resilient_time - serial_time, 3),
-            "pct_vs_serial": round((resilient_time / serial_time - 1) * 100, 2),
-            "target_pct": 3.0,
-            "deadline_seconds": 300.0,
-            "journaled_outcomes": resilient_result.num_obligations,
-        },
+        "resilience_overhead": _overhead_section(
+            serial_time, resilient_time, resilient_result
+        ),
         "speedup_vs_uncached": {
             "serial_memoized": round(baseline_time / serial_time, 2),
             "parallel_cold": round(baseline_time / cold_time, 2),
@@ -878,6 +927,12 @@ def main(argv=None) -> int:
         "guard against this script rotting",
     )
     parser.add_argument(
+        "--resilience-only",
+        action="store_true",
+        help="re-measure only the resilience_overhead section and update "
+        "it in --output, keeping the other recorded sections",
+    )
+    parser.add_argument(
         "--trace",
         type=Path,
         default=None,
@@ -886,7 +941,9 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.smoke:
+    if args.resilience_only:
+        payload = rerecord_resilience(args.rounds, args.nodes, args.output)
+    elif args.smoke:
         payload = run_smoke()
         if args.output == ROOT / "BENCH_obligations.json":
             # Never clobber the recorded full benchmark with smoke data.

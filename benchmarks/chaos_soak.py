@@ -2,7 +2,7 @@
 
 The robustness claim this drill gates: under randomized sandbox-worker
 SIGKILLs, injected disk faults (``rcache.store=enospc``,
-``journal.append=eio``), and SIGTERM restarts of the daemon itself —
+``rcache.index=eio``), and SIGTERM restarts of the daemon itself —
 all while a client keeps submitting verification jobs —
 
 * the service stays live (every ``/healthz`` probe answers),
@@ -15,7 +15,7 @@ all while a client keeps submitting verification jobs —
 
 Verdicts may never silently degrade: a disk full, a dead worker, or a
 killed daemon can cost time (respawns, re-execution, restart replay)
-but not soundness — caches degrade to misses, journals to re-runs.
+but not soundness — cache writes degrade to misses, misses to re-runs.
 
 The schedule is a seeded ``random.Random`` walk over four actions
 (submit / kill the sandbox worker / SIGTERM+restart the daemon /
@@ -50,10 +50,10 @@ SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
 
 #: Faults armed for the daemon *and* (inherited) every sandbox worker:
-#: the first rcache stores hit a full disk, the first checkpoint-journal
-#: appends hit I/O errors. Counters re-arm per spawned process, so every
+#: the first rcache stores hit a full disk, the first rcache index
+#: flushes hit I/O errors. Counters re-arm per spawned process, so every
 #: respawned worker takes fresh hits — the soak never runs out of chaos.
-FAULTS = "rcache.store=enospc:4;journal.append=eio:2"
+FAULTS = "rcache.store=enospc:4;rcache.index=eio:2"
 
 #: The request mix. Small on purpose: the soak's point is fault
 #: coverage, not load; bench_serve covers throughput.

@@ -192,10 +192,10 @@ def build_table1(
     the budget gets status BUDGET instead of aborting the sweep.
     ``resilience`` (a
     :class:`~repro.engine.resilience.ResilienceConfig`) threads
-    per-obligation deadlines, retries, and checkpoint/resume into every
-    row's pipeline; rows with expired deadlines render as TIMEOUT, and an
-    interrupted row (Ctrl-C) stops the sweep with the completed rows plus
-    the partial one. ``cache`` (an
+    per-obligation deadlines and retries into every row's pipeline; rows
+    with expired deadlines render as TIMEOUT, and an interrupted row
+    (Ctrl-C) stops the sweep with the completed rows plus the partial
+    one. ``cache`` (an
     :class:`~repro.engine.rcache.ObligationCache` or a directory path)
     arms the persistent result cache for every row; one instance is
     shared across the sweep, so an unchanged protocol's obligations are

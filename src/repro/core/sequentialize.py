@@ -131,12 +131,11 @@ class ISResult:
 
     The resilience fields record how a fault-tolerant run went:
     ``interrupted`` marks a run stopped by ``KeyboardInterrupt`` (the
-    condition map is a salvaged partial); ``resumed_keys`` are obligations
-    satisfied from a checkpoint journal rather than re-executed;
-    ``timeout_keys``/``crashed_keys`` are obligations that hit their
-    deadline or crashed past the retry budget; ``retries`` counts extra
-    execution attempts; ``resilience_events`` is the scheduler's recovery
-    log. ``cached_keys`` are obligations satisfied from the persistent
+    condition map is a salvaged partial); ``timeout_keys``/
+    ``crashed_keys`` are obligations that hit their deadline or crashed
+    past the retry budget; ``retries`` counts extra execution attempts;
+    ``resilience_events`` is the scheduler's recovery log.
+    ``cached_keys`` are obligations satisfied from the persistent
     result cache (``repro.engine.rcache``) instead of executed, and
     ``rcache_stats`` the cache's hit/miss/invalidation counter delta for
     this discharge. All are bookkeeping only and excluded from equality,
@@ -155,6 +154,9 @@ class ISResult:
     )
     warmup_seconds: float = field(default=0.0, compare=False, repr=False)
     interrupted: bool = field(default=False, compare=False, repr=False)
+    #: Always empty. The result cache is the only resume store, so a
+    #: resumed obligation shows in ``cached_keys``; the field stays for
+    #: readers of the older result shape (``bench/batch.py`` sums it).
     resumed_keys: List[str] = field(
         default_factory=list, compare=False, repr=False
     )
@@ -710,7 +712,6 @@ class ISApplication:
         fail_fast: bool = False,
         tracer=None,
         resilience=None,
-        checkpoint_label: Optional[str] = None,
         cache=None,
         symmetry=None,
     ) -> ISResult:
@@ -735,14 +736,14 @@ class ISApplication:
 
         ``resilience`` (a
         :class:`~repro.engine.resilience.ResilienceConfig`) arms
-        per-obligation deadlines, crash retries, and checkpoint/resume;
-        ``checkpoint_label`` names this application's journal file. See
+        per-obligation deadlines and crash retries. See
         ``repro.engine.obligations.discharge``.
 
         ``cache`` (an :class:`~repro.engine.rcache.ObligationCache` or a
         directory path) reuses persisted results for obligations whose
         dependency fingerprints are unchanged — they are seeded, not
-        executed — and stores every freshly completed obligation back.
+        executed — and stores every freshly completed obligation back as
+        it completes, so an interrupted run resumes from it.
 
         ``symmetry`` (a :class:`~repro.core.symmetry.SymmetrySpec`) folds
         the universe onto orbit representatives before discharging — a
@@ -765,7 +766,6 @@ class ISApplication:
             fail_fast=fail_fast,
             tracer=tracer,
             resilience=resilience,
-            checkpoint_label=checkpoint_label,
             cache=cache,
         )
 

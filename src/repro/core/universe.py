@@ -65,6 +65,9 @@ class StoreUniverse:
     )
     _memo_epoch: object = field(default=None, repr=False, compare=False)
     _gids_cache: object = field(default=None, repr=False, compare=False)
+    #: ``universe_fingerprint`` memo, filled by the result cache's
+    #: ``DependencyFingerprinter`` ("" when unfingerprintable).
+    _fingerprint: Optional[str] = field(default=None, repr=False, compare=False)
     _g_ck: Dict[object, int] = field(
         default_factory=dict, repr=False, compare=False
     )

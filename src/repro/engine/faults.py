@@ -40,12 +40,11 @@ Injectors are installed two ways, both inherited by ``fork`` workers:
 Filesystem faults
 -----------------
 Beyond obligation faults, the injector models *disk* failures for the
-persistence layers (``repro.engine.rcache``, ``repro.engine.journal``,
-``repro.serve.jobs``). A spec whose mode is one of :data:`_FS_MODES` —
-``enospc`` (disk full), ``eio`` (I/O error), ``eperm`` (permission
-denied), ``torn`` (partial write lands on disk, then the write errors) —
-is keyed by a *write site* rather than an obligation key
-(``rcache.store``, ``rcache.index``, ``journal.append``,
+persistence layers (``repro.engine.rcache``, ``repro.serve.jobs``). A
+spec whose mode is one of :data:`_FS_MODES` — ``enospc`` (disk full),
+``eio`` (I/O error), ``eperm`` (permission denied), ``torn`` (partial
+write lands on disk, then the write errors) — is keyed by a *write site*
+rather than an obligation key (``rcache.store``, ``rcache.index``,
 ``jobs.append``) and consulted through :func:`maybe_fs_fault` at the
 moment of the write. ``times`` bounds firings per process via an
 injector-internal counter (writes have no scheduler attempt number), so

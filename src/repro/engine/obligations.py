@@ -38,7 +38,7 @@ from ..core.refinement import COUNTEREXAMPLE_KEEP, CheckResult
 from ..core.sequentialize import ISApplication, ISResult
 from ..core.universe import StoreUniverse
 from ..diagnose.witness import SkippedMarker, TimeoutMarker
-from .resilience import DischargeInterrupted, ResilienceConfig, ResilienceEvent
+from .resilience import DischargeInterrupted, ResilienceConfig
 
 __all__ = [
     "Obligation",
@@ -468,7 +468,6 @@ def discharge(
     fail_fast: bool = False,
     tracer=None,
     resilience: Optional[ResilienceConfig] = None,
-    checkpoint_label: Optional[str] = None,
     cache=None,
 ) -> ISResult:
     """Build, schedule, and merge the obligation DAG for one application.
@@ -492,31 +491,27 @@ def discharge(
     maps, or scheduling/recovery decisions.
 
     ``resilience`` (a :class:`~repro.engine.resilience.ResilienceConfig`)
-    arms per-obligation deadlines, crash retries, and — via its
-    ``checkpoint_dir``/``resume`` fields — the append-only outcome
-    journal: completed ``CheckResult``s are journaled per wave, and a
-    resumed run seeds them back instead of re-executing (outcomes marked
-    ``resumed``). ``checkpoint_label`` names the journal file (one per IS
-    application). A ``KeyboardInterrupt`` mid-run is salvaged: the
-    completed outcomes are merged into a partial result with
-    ``interrupted=True`` and the unexecuted obligations marked with
-    ``interrupted`` timeout witnesses.
+    arms per-obligation deadlines and crash retries. A
+    ``KeyboardInterrupt`` mid-run is salvaged: the completed outcomes are
+    merged into a partial result with ``interrupted=True`` and the
+    unexecuted obligations marked with ``interrupted`` timeout witnesses.
 
     ``cache`` (an :class:`~repro.engine.rcache.ObligationCache`, or a
     directory path) arms the persistent content-addressed result store:
     before scheduling, every obligation's dependency fingerprint is
     computed and looked up — a hit seeds the recorded verdict (witnesses
-    included) exactly like a journaled outcome and the obligation never
-    executes (outcomes marked ``cached``); every freshly completed
-    obligation is stored back. Cache decisions are recorded as events on
-    the cache object and become ``rcache`` spans when a tracer is
-    attached — derived after the fact, so tracing never perturbs caching
-    (or vice versa).
+    included) into the fail-fast verdict map and the obligation never
+    executes (outcomes marked ``cached``). Every freshly completed
+    obligation is stored back *while the run goes on* (the scheduler's
+    ``store`` callback), so a run that is killed or interrupted resumes
+    from the cache: what it completed is a hit on the next run. Cache
+    decisions are recorded as events on the cache object and become
+    ``rcache`` spans when a tracer is attached — derived after the fact,
+    so tracing never perturbs caching (or vice versa).
     """
     import os as _os
     import time as _time
 
-    from .journal import CheckpointJournal, run_fingerprint
     from .rcache import DependencyFingerprinter, ObligationCache
     from .scheduler import ObligationOutcome, make_scheduler
 
@@ -540,17 +535,6 @@ def discharge(
         i3_shards=shard_count(num_globals, parallelism),
         lm_shards=lm_slice_count(num_pairs, num_globals, parallelism),
     )
-    journal = None
-    journaled: Dict[str, object] = {}
-    if cfg.checkpoint_dir:
-        fingerprint = run_fingerprint(app, universe, obligations)
-        journal, journaled = CheckpointJournal.open(
-            cfg.checkpoint_dir,
-            checkpoint_label,
-            fingerprint,
-            num_obligations=len(obligations),
-            resume=cfg.resume,
-        )
     cache = ObligationCache.ensure(cache)
     cache_hits: Dict[str, object] = {}
     fingerprints: Dict[str, Tuple[Optional[str], str]] = {}
@@ -559,10 +543,6 @@ def discharge(
     if cache is not None:
         fingerprinter = DependencyFingerprinter(app, universe)
         for ob in obligations:
-            if ob.key in journaled:
-                # The journal's verdicts take precedence: they belong to
-                # *this* run (fingerprint-checked on load).
-                continue
             pair = (fingerprinter.fingerprint(ob), fingerprinter.identity(ob))
             fingerprints[ob.key] = pair
             if pair[0] is None:
@@ -571,23 +551,22 @@ def discharge(
             entry = cache.lookup(pair[0], pair[1], ob.key)
             if entry is not None:
                 cache_hits[ob.key] = entry
-    todo = [
-        ob
-        for ob in obligations
-        if ob.key not in journaled and ob.key not in cache_hits
-    ]
-    seed_verdicts = {k: r.holds for k, r in journaled.items()}
-    seed_verdicts.update({k: e.holds for k, e in cache_hits.items()})
     interrupted = False
     try:
-        if journal is not None or cache is not None:
+        if cache is not None:
+
+            def store(outcome) -> None:
+                fingerprint, identity = fingerprints[outcome.key]
+                if fingerprint is not None:
+                    cache.store(fingerprint, identity, outcome.key, outcome)
+
             outcomes = scheduler.run(
                 app,
                 universe,
-                todo,
+                [ob for ob in obligations if ob.key not in cache_hits],
                 fail_fast=fail_fast,
-                journal=journal,
-                seed_verdicts=seed_verdicts,
+                store=store,
+                seed_verdicts={k: e.holds for k, e in cache_hits.items()},
             )
         else:
             outcomes = scheduler.run(
@@ -597,18 +576,8 @@ def discharge(
         outcomes = exc.outcomes
         interrupted = True
     finally:
-        if journal is not None:
-            journal.close()
-    for key, record in journaled.items():
-        outcomes[key] = ObligationOutcome(
-            key,
-            record.to_result(),
-            0.0,
-            _os.getpid(),
-            started=_time.perf_counter(),
-            attempts=record.attempts,
-            resumed=True,
-        )
+        if cache is not None:
+            cache.flush()
     for key, entry in cache_hits.items():
         outcomes[key] = ObligationOutcome(
             key,
@@ -619,14 +588,6 @@ def discharge(
             attempts=entry.attempts,
             cached=True,
         )
-    if cache is not None:
-        for key, outcome in outcomes.items():
-            if outcome.result is None or outcome.cached or outcome.resumed:
-                continue
-            pair = fingerprints.get(key)
-            if pair is not None and pair[0] is not None:
-                cache.store(pair[0], pair[1], key, outcome)
-        cache.flush()
     results: Dict[str, CheckResult] = {}
     timings: Dict[str, float] = {}
     by_key = {ob.key: ob for ob in obligations}
@@ -664,7 +625,6 @@ def discharge(
     merged = merge_outcomes(app, obligations, results, timings=timings)
     merged.warmup_seconds = getattr(scheduler, "last_warmup_seconds", 0.0)
     merged.interrupted = interrupted
-    merged.resumed_keys = sorted(journaled)
     merged.cached_keys = sorted(cache_hits)
     if cache is not None:
         merged.rcache_stats = cache.stats.delta(cache_stats_before)
@@ -678,21 +638,6 @@ def discharge(
         max(0, o.attempts - 1) for o in outcomes.values()
     )
     merged.resilience_events = list(getattr(scheduler, "last_events", ()) or ())
-    if journal is not None and journal.write_errors:
-        # Surface checkpoint degradation alongside scheduler recovery:
-        # the run completed, but a resume would re-execute unjournaled
-        # outcomes (see repro.engine.journal, "Disk faults degrade").
-        merged.resilience_events.append(
-            ResilienceEvent(
-                kind="journal-write-error",
-                key="journal",
-                at=_time.perf_counter(),
-                detail=(
-                    f"{journal.write_errors} failed journal write(s); "
-                    f"checkpointing degraded for {journal.path.name}"
-                ),
-            )
-        )
     if tracer is not None:
         cache_events = (
             cache.events[cache_events_before:] if cache is not None else ()
@@ -764,7 +709,6 @@ def _emit_spans(
                 cache_delta=outcome.cache_delta,
                 attempts=outcome.attempts,
                 timed_out=outcome.timed_out,
-                resumed=outcome.resumed,
                 cached=outcome.cached,
             )
         )

@@ -5,8 +5,8 @@ application into independent proof obligations, each of which reads a
 *small* slice of the application: an abstraction check reads one program
 action and its abstraction, I1 reads ``M`` and the invariant, an LM cell
 reads one abstraction and one program action, and so on. This module
-generalizes the run-level fingerprint of ``repro.engine.journal`` into a
-**per-obligation dependency fingerprint**: a content hash of
+keys each obligation's result by a **per-obligation dependency
+fingerprint**: a content hash of
 
 * the engine schema version (:data:`RCACHE_SCHEMA`),
 * the obligation's kind, key, and instance parameters (shard bounds
@@ -25,6 +25,11 @@ verdict (witnesses included) is still the answer — the obligation is
 seeded into the fail-fast verdict map and never executed. Any edit to a
 gate, transition, predicate, measure, or universe changes the hash of
 every obligation that reads it, and only those re-execute.
+
+The cache is also the only **resume** store. The schedulers store each
+completed obligation as it finishes (per outcome when serial, per wave
+in the pool), so the obligations a killed or interrupted run completed
+are hits when it is run again, and nothing else is.
 
 **Soundness** rests on the read-set being an *over-approximation*: the
 fingerprint covers at least everything ``execute_obligation`` evaluates
@@ -94,9 +99,9 @@ from ..core.columnar import ColumnarStore
 from ..core.mapping import FrozenDict
 from ..core.multiset import Multiset
 from ..core.program import Program
+from ..core.refinement import CheckResult
 from ..core.store import Store, StoreInterner
 from . import faults
-from .journal import JournaledOutcome
 
 try:  # advisory inter-process locking; absent on non-POSIX platforms
     import fcntl
@@ -112,6 +117,7 @@ __all__ = [
     "DependencyFingerprinter",
     "RcacheStats",
     "CacheEvent",
+    "CachedOutcome",
     "ObligationCache",
 ]
 
@@ -408,12 +414,17 @@ class DependencyFingerprinter:
         self.app = app
         self._hasher = _Hasher()
         self._memo: Dict[str, Optional[str]] = {}
-        try:
-            self._universe_fp: Optional[str] = universe_fingerprint(
-                universe, self._hasher
-            )
-        except Unfingerprintable:
-            self._universe_fp = None
+        # Universes are never mutated after construction, so the digest
+        # is memoized on the universe ("" marks unfingerprintable): a
+        # daemon re-verifying a resident universe hashes it once.
+        if universe._fingerprint is None:
+            try:
+                universe._fingerprint = universe_fingerprint(
+                    universe, self._hasher
+                )
+            except Unfingerprintable:
+                universe._fingerprint = ""
+        self._universe_fp: Optional[str] = universe._fingerprint or None
         self._frame = _hex(
             "frame",
             getattr(app, "m_name", "") or "",
@@ -515,6 +526,28 @@ class DependencyFingerprinter:
         cache tell *invalidation* (same identity, new fingerprint) apart
         from a cold miss."""
         return _hex("identity", self._frame, ob.key)
+
+
+@dataclass
+class CachedOutcome:
+    """One entry read back from the cache: enough to rebuild the
+    ``CheckResult`` and seed the fail-fast verdict map."""
+
+    key: str
+    holds: bool
+    checked: int
+    name: str
+    elapsed: float
+    attempts: int
+    witnesses_b64: Optional[str] = None
+
+    def to_result(self) -> CheckResult:
+        counterexamples: List = []
+        if self.witnesses_b64:
+            counterexamples = pickle.loads(base64.b64decode(self.witnesses_b64))
+        return CheckResult(
+            self.name, self.holds, counterexamples, checked=self.checked
+        )
 
 
 @dataclass
@@ -737,7 +770,7 @@ class ObligationCache:
 
     def lookup(
         self, fingerprint: str, identity: str, key: str
-    ) -> Optional[JournaledOutcome]:
+    ) -> Optional[CachedOutcome]:
         """The completed outcome stored under ``fingerprint``, or ``None``.
 
         Corrupt, missing, mismatched, or undecodable entries are misses.
@@ -767,7 +800,7 @@ class ObligationCache:
 
     def _read_entry(
         self, fingerprint: str, key: str
-    ) -> Optional[JournaledOutcome]:
+    ) -> Optional[CachedOutcome]:
         path = self.objects_dir / f"{fingerprint}.json"
         try:
             record = json.loads(path.read_text())
@@ -776,7 +809,7 @@ class ObligationCache:
             if record.get("key") != key:
                 # sha256 collision or tampering; never trust it.
                 return None
-            outcome = JournaledOutcome(
+            outcome = CachedOutcome(
                 key=record["key"],
                 holds=bool(record["holds"]),
                 checked=int(record["checked"]),
@@ -797,8 +830,8 @@ class ObligationCache:
         """Persist one *completed* scheduler outcome; True when written.
 
         Only genuine verdicts are stored: skipped, timed-out, crashed,
-        resumed-from-journal, and cache-hit outcomes are not (the first
-        three must re-attempt; the last two are already on disk).
+        and cache-hit outcomes are not (the first three must re-attempt;
+        the last is already on disk).
 
         A disk failure (``ENOSPC``/``EIO``/permissions) never propagates:
         the entry degrades to a future miss, ``stats.write_errors``
@@ -806,12 +839,7 @@ class ObligationCache:
         run itself is unaffected.
         """
         result = getattr(outcome, "result", None)
-        if (
-            result is None
-            or getattr(outcome, "resumed", False)
-            or getattr(outcome, "cached", False)
-            or self.disabled
-        ):
+        if result is None or getattr(outcome, "cached", False) or self.disabled:
             return False
         record = {
             "schema": RCACHE_SCHEMA,

@@ -50,12 +50,19 @@ three failure modes an SMT back end exhibits in CIVL —
   degrades to the serial backend with a warning.
 
 ``KeyboardInterrupt`` is salvaged, not dropped: completed outcomes are
-kept, the checkpoint journal (if any) is flushed, and the structured
+kept and the structured
 :class:`~repro.engine.resilience.DischargeInterrupted` carries the
 partial run out to the merge layer. Every recovery action is recorded as
 a :class:`~repro.engine.resilience.ResilienceEvent` on
 ``scheduler.last_events`` — unconditionally, so tracing never perturbs
 recovery decisions.
+
+Both backends take an optional ``store`` callback and hand it every
+completed outcome as soon as it is final: per outcome when serial, per
+wave in the pool (and, on ``KeyboardInterrupt``, what the interrupted
+wave had finished). ``discharge()`` passes one that writes to the
+result cache (``repro.engine.rcache``), which is what lets a killed run
+resume: everything stored before the kill is a cache hit on restart.
 """
 
 from __future__ import annotations
@@ -65,7 +72,7 @@ import os
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.explore import ExplorationBudgetExceeded
 from ..core.refinement import CheckResult
@@ -97,12 +104,12 @@ class ObligationOutcome:
     ``error`` set), its deadline expired (``timed_out=True``), or it
     crashed past the retry budget (``error`` carries the last failure).
     ``attempts`` counts executions tried (1 on the happy path);
-    ``resumed`` marks outcomes satisfied from a checkpoint journal
-    instead of executed; ``cached`` marks outcomes satisfied from the
-    content-addressed result cache (``repro.engine.rcache``). ``cache_stats`` is the discharging process's
-    cumulative evaluation-cache snapshot (hits/misses by kind) taken
-    right after the obligation ran — both backends record it; benchmarks
-    aggregate the last snapshot per ``pid``.
+    ``cached`` marks outcomes satisfied from the content-addressed
+    result cache (``repro.engine.rcache``). ``cache_stats`` is the
+    discharging process's cumulative evaluation-cache snapshot
+    (hits/misses by kind) taken right after the obligation ran — both
+    backends record it; benchmarks aggregate the last snapshot per
+    ``pid``.
 
     ``started`` (a ``perf_counter`` stamp from the discharging process —
     comparable across ``fork`` boundaries, where the monotonic clock is
@@ -124,7 +131,6 @@ class ObligationOutcome:
     attempts: int = 1
     timed_out: bool = False
     error: Optional[str] = None
-    resumed: bool = False
     cached: bool = False
 
     @property
@@ -164,6 +170,16 @@ def _waves(obligations) -> List[List]:
     return waves
 
 
+def _store_wave(store, wave, outcomes) -> None:
+    """Hand the ``store`` callback every recorded outcome of one wave."""
+    if store is None:
+        return
+    for ob in wave:
+        outcome = outcomes.get(ob.key)
+        if outcome is not None:
+            store(outcome)
+
+
 def _record(outcomes, verdicts, outcome: ObligationOutcome) -> None:
     """File one outcome; faulted obligations count as failed deps so
     fail-fast skipping stays deterministic downstream."""
@@ -197,7 +213,7 @@ class SerialScheduler:
         universe: StoreUniverse,
         obligations: Sequence,
         fail_fast: bool = False,
-        journal=None,
+        store: Optional[Callable[[ObligationOutcome], object]] = None,
         seed_verdicts: Optional[Dict[str, bool]] = None,
     ) -> Dict[str, ObligationOutcome]:
         pid = os.getpid()
@@ -218,14 +234,12 @@ class SerialScheduler:
                     app, universe, ob, lm_universes
                 )
                 _record(outcomes, verdicts, outcome)
-                if journal is not None and journal.record(outcome):
-                    journal.maybe_sync()
+                if store is not None:
+                    store(outcome)
         except KeyboardInterrupt:
             self.last_events.append(
                 ResilienceEvent("interrupted", at=time.perf_counter())
             )
-            if journal is not None:
-                journal.sync()
             raise DischargeInterrupted(outcomes) from None
         return outcomes
 
@@ -465,7 +479,7 @@ class ProcessPoolScheduler:
         universe: StoreUniverse,
         obligations: Sequence,
         fail_fast: bool = False,
-        journal=None,
+        store: Optional[Callable[[ObligationOutcome], object]] = None,
         seed_verdicts: Optional[Dict[str, bool]] = None,
     ) -> Dict[str, ObligationOutcome]:
         cfg = self.resilience
@@ -481,7 +495,7 @@ class ProcessPoolScheduler:
                     universe,
                     obligations,
                     fail_fast=fail_fast,
-                    journal=journal,
+                    store=store,
                     seed_verdicts=seed_verdicts,
                 )
             finally:
@@ -512,6 +526,7 @@ class ProcessPoolScheduler:
         _WORKER_PAYLOAD = (app, universe, by_key)
         pool = self._new_pool()
         rebuilds = 0
+        wave: List = []
         try:
             for wave in _waves(obligations):
                 pending: Dict[str, object] = {}
@@ -541,20 +556,13 @@ class ProcessPoolScheduler:
                         parent_lm_universes,
                         rebuilds,
                     )
-                if journal is not None:
-                    for ob in wave:
-                        outcome = outcomes.get(ob.key)
-                        if outcome is not None:
-                            journal.record(outcome)
-                    journal.sync()
+                _store_wave(store, wave, outcomes)
         except KeyboardInterrupt:
             self.last_events.append(
                 ResilienceEvent("interrupted", at=time.perf_counter())
             )
-            if journal is not None:
-                for outcome in outcomes.values():
-                    journal.record(outcome)
-                journal.sync()
+            # Earlier waves are stored already; keep what this one finished.
+            _store_wave(store, wave, outcomes)
             raise DischargeInterrupted(outcomes) from None
         finally:
             if pool is not None:

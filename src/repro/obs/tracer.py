@@ -57,8 +57,7 @@ class Span:
     crash, retry, pool-rebuild, ... — and ``condition`` the obligation
     key). Obligation spans additionally carry ``attempts`` (execution
     attempts; >1 means the obligation was retried), ``timed_out`` (its
-    deadline expired), ``resumed`` (satisfied from a checkpoint
-    journal, not executed), and ``cached`` (satisfied from the
+    deadline expired), and ``cached`` (satisfied from the
     content-addressed result cache, not executed). ``category ==
     "rcache"`` spans are zero-duration markers of result-cache decisions
     (``kind`` is hit/miss/invalidation/store/uncacheable and
@@ -80,7 +79,6 @@ class Span:
     cache_delta: Optional[Dict[str, Dict[str, int]]] = None
     attempts: int = 0
     timed_out: bool = False
-    resumed: bool = False
     cached: bool = False
 
     @property
@@ -109,8 +107,6 @@ class Span:
                 record["attempts"] = self.attempts
             if self.timed_out:
                 record["timed_out"] = True
-            if self.resumed:
-                record["resumed"] = True
             if self.cached:
                 record["cached"] = True
         if self.category == "resilience":

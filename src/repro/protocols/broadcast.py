@@ -598,7 +598,6 @@ def verify(
                             fail_fast=fail_fast,
                             tracer=tracer,
                             resilience=resilience,
-                            checkpoint_label=f"broadcast-consensus-IS-{label}",
                             cache=cache,
                         )
             except ExplorationBudgetExceeded as exc:

@@ -299,19 +299,19 @@ def verify_protocol(
 
     ``resilience`` (a
     :class:`~repro.engine.resilience.ResilienceConfig`) arms
-    per-obligation deadlines, crash retries, and checkpoint/resume for
-    every IS check; each application journals under the label
-    ``{protocol}-IS-{label}``. A ``KeyboardInterrupt`` anywhere in the
-    pipeline yields a *partial* report (``interrupted=True``,
-    ``status == "INTERRUPTED"``) carrying everything completed — and
-    journaled — before the stop, instead of unwinding with a traceback.
+    per-obligation deadlines and crash retries for every IS check. A
+    ``KeyboardInterrupt`` anywhere in the pipeline yields a *partial*
+    report (``interrupted=True``, ``status == "INTERRUPTED"``) carrying
+    everything completed before the stop, instead of unwinding with a
+    traceback.
 
     ``cache`` (an :class:`~repro.engine.rcache.ObligationCache` or a
     directory path) arms the persistent result cache for every IS check:
     obligations whose dependency fingerprints are unchanged are seeded
     from the store instead of executed (``ISResult.cached_keys``), and
-    fresh results are stored back. One cache instance is shared across
-    the pipeline's applications.
+    fresh results are stored back as they complete — so rerunning an
+    interrupted or killed run against the same cache resumes it. One
+    cache instance is shared across the pipeline's applications.
 
     ``warm`` (a :class:`~repro.engine.warm.WarmState`) marks this run as
     one request against a resident daemon: the per-run process-cache
@@ -400,7 +400,6 @@ def verify_protocol(
                             fail_fast=fail_fast,
                             tracer=tracer,
                             resilience=resilience,
-                            checkpoint_label=f"{name}-IS-{label}",
                             cache=cache,
                         )
             except ExplorationBudgetExceeded as exc:

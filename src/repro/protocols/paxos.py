@@ -716,7 +716,7 @@ def verify_sampled(
 
 def verify(
     rounds: int = 2,
-    num_nodes: int = 3,
+    num_nodes: int = 2,
     values: Sequence[int] = (1, 2),
     ground_truth: bool = False,
     max_configs: Optional[int] = None,
@@ -729,6 +729,11 @@ def verify(
     symmetry: bool = False,
 ) -> ProtocolReport:
     """Full pipeline for Paxos.
+
+    The default instance is Table 1's R=2, N=2. R=2, N=3 without
+    symmetry has 618,760 reachable globals and does not fit a small host;
+    pass ``num_nodes=3`` with ``symmetry=True``, or use
+    :func:`verify_sampled`.
 
     Ground-truth exploration of the concurrent program is exponential in
     rounds × nodes; it is off by default and exercised by a dedicated slow

@@ -31,11 +31,11 @@ SSE to current ones.
 Shutdown is a protocol, not an ``exit()``: SIGTERM (or SIGINT) stops
 admission (``503``), raises ``KeyboardInterrupt`` *inside* the worker
 thread via ``PyThreadState_SetAsyncExc`` so the engine's salvage path
-journals what it finished, waits at most ``drain_grace`` seconds, and
+keeps what it finished, waits at most ``drain_grace`` seconds, and
 records ``interrupted`` for whatever remains. On the next start the job
-journal's unfinished backlog is re-enqueued, and each job's engine
-checkpoint journal (named by the request fingerprint) turns the re-run
-into a resume.
+journal's unfinished backlog is re-enqueued, and the state directory's
+result cache (where every completed obligation was stored as it
+finished) turns the re-run into a resume.
 """
 
 from __future__ import annotations
@@ -48,9 +48,10 @@ import signal
 import sys
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Deque, Dict, List, Optional
 
 from ..engine.warm import WarmState
 from ..obs.stream import StreamingTracer, sse_event
@@ -85,6 +86,12 @@ EWMA_ALPHA = 0.3
 #: is a loop, so a restart must not resurrect the loop.
 FINISHED_STATES = ("done", "failed", "crashed")
 
+#: Finished jobs whose whole event stream stays replayable. Older
+#: channels keep their status and result frames but drop their span
+#: frames, so a long-lived daemon does not hold every span it ever
+#: streamed.
+REPLAY_JOBS = 64
+
 
 class EventChannel:
     """Per-job event fan-out: a replay buffer plus live subscribers.
@@ -111,6 +118,12 @@ class EventChannel:
         for queue in self._subscribers:
             queue.put_nowait(None)
         self._subscribers = []
+
+    def drop_spans(self) -> None:
+        """Forget the span frames of a closed channel. Frames are
+        ``id: N`` then ``event: NAME``, and JSON data has no raw
+        newlines, so the marker only matches the event line."""
+        self.frames = [f for f in self.frames if b"\nevent: span\n" not in f]
 
     async def stream(self):
         """Replay everything buffered, then follow live until closed."""
@@ -180,6 +193,7 @@ class ServeDaemon:
         self.jobs: Dict[str, Job] = {}
         self.order: List[str] = []
         self.channels: Dict[str, EventChannel] = {}
+        self._replayable: Deque[EventChannel] = deque()
         self.store: Optional[JobStore] = None
         self.bound_port: Optional[int] = None
         self.ready = threading.Event()
@@ -543,7 +557,7 @@ class ServeDaemon:
                     loop.call_soon_threadsafe(finish)
                 except RuntimeError:
                     # The loop is gone: a hung job outlived the drain
-                    # grace and only woke after shutdown. Its journals
+                    # grace and only woke after shutdown. Its outcomes
                     # were already salvaged; nothing to deliver.
                     pass
 
@@ -607,6 +621,9 @@ class ServeDaemon:
         elif job.error is not None:
             channel.publish("result", {"error": job.error})
         channel.close()
+        self._replayable.append(channel)
+        if len(self._replayable) > REPLAY_JOBS:
+            self._replayable.popleft().drop_spans()
 
     # -------------------------------------------------------------- #
     # Execution (worker thread)
@@ -627,24 +644,13 @@ class ServeDaemon:
             "clamped": clamped,
         }
 
-    def _resilience(self, request: JobRequest):
-        checkpoint_dir = None
-        if self.state_dir is not None:
-            checkpoint_dir = str(
-                self.state_dir / "ckpt" / request.fingerprint
-            )
+    def _resilience(self):
         timeout = self.config.timeout_per_obligation
-        if checkpoint_dir is None and timeout is None:
+        if timeout is None:
             return None
         from ..engine.resilience import ResilienceConfig
 
-        kwargs = {}
-        if timeout is not None:
-            kwargs["timeout_per_obligation"] = timeout
-        if checkpoint_dir is not None:
-            kwargs["checkpoint_dir"] = checkpoint_dir
-            kwargs["resume"] = True
-        return ResilienceConfig(**kwargs)
+        return ResilienceConfig(timeout_per_obligation=timeout)
 
     def _execute(self, job: Job, publish_span) -> dict:
         """One job, either isolation level (runs on the worker thread).
@@ -658,7 +664,7 @@ class ServeDaemon:
         """
         request = job.request
         budgets = self._budgets(request)
-        resilience = self._resilience(request)
+        resilience = self._resilience()
         if self.executor is not None:
             try:
                 return self.executor.execute(
@@ -697,7 +703,7 @@ def run_daemon(config: ServeConfig) -> int:
         asyncio.run(daemon.run())
     except KeyboardInterrupt:
         # Signal handlers normally drain first; a second Ctrl-C lands
-        # here. Nothing left to salvage — the journals are flushed per
-        # record.
+        # here. Nothing left to salvage — the job journal and the result
+        # cache are written per record.
         return 130
     return 0

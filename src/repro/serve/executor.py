@@ -43,8 +43,8 @@ above failing:
 
 The daemon stays up through all of it: ``SIGKILL`` of the sandbox is
 rung 1, and a daemon restart re-enqueues from the job journal as before
-(the worker journals engine checkpoints to the same state directory, so
-the re-run resumes).
+(the worker stores completed obligations in the state directory's
+result cache, so the re-run resumes from it).
 
 Protocol (one JSON object per line):
 
@@ -155,6 +155,9 @@ def run_request(
     rcache_before = None
     if warm.rcache is not None:
         rcache_before = warm.rcache.stats.snapshot()
+        # Cache events are span ingredients for the discharge that
+        # recorded them; a resident cache would keep one per lookup.
+        warm.rcache.events.clear()
     started = time.perf_counter()
     if request.kind == "verify":
         payload = _execute_verify(request, warm, budgets, resilience, tracer)
@@ -274,19 +277,13 @@ def report_payload(report) -> dict:
 
 
 def obligation_split(reports) -> dict:
-    """total/executed/cached/resumed obligation counts over reports."""
-    total = cached = resumed = 0
+    """total/executed/cached obligation counts over reports."""
+    total = cached = 0
     for report in reports:
         for _label, result in report.is_results:
             total += result.num_obligations
             cached += len(result.cached_keys)
-            resumed += len(result.resumed_keys)
-    return {
-        "total": total,
-        "executed": total - cached - resumed,
-        "cached": cached,
-        "resumed": resumed,
-    }
+    return {"total": total, "executed": total - cached, "cached": cached}
 
 
 def crashed_payload(request: JobRequest, crash: SandboxCrashed) -> dict:
@@ -314,31 +311,17 @@ def crashed_payload(request: JobRequest, crash: SandboxCrashed) -> dict:
 def _resilience_to_wire(resilience) -> Optional[dict]:
     if resilience is None:
         return None
-    return {
-        "timeout_per_obligation": resilience.timeout_per_obligation,
-        "checkpoint_dir": (
-            str(resilience.checkpoint_dir)
-            if resilience.checkpoint_dir is not None
-            else None
-        ),
-        "resume": bool(resilience.resume),
-    }
+    return {"timeout_per_obligation": resilience.timeout_per_obligation}
 
 
 def _resilience_from_wire(wire: Optional[dict]):
-    if not wire:
+    if not wire or wire.get("timeout_per_obligation") is None:
         return None
     from ..engine.resilience import ResilienceConfig
 
-    kwargs = {}
-    if wire.get("timeout_per_obligation") is not None:
-        kwargs["timeout_per_obligation"] = float(wire["timeout_per_obligation"])
-    if wire.get("checkpoint_dir") is not None:
-        kwargs["checkpoint_dir"] = wire["checkpoint_dir"]
-        kwargs["resume"] = bool(wire.get("resume", True))
-    if not kwargs:
-        return None
-    return ResilienceConfig(**kwargs)
+    return ResilienceConfig(
+        timeout_per_obligation=float(wire["timeout_per_obligation"])
+    )
 
 
 # ---------------------------------------------------------------------- #

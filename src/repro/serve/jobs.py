@@ -5,20 +5,17 @@ A *job* is one verification request: ``verify`` (one protocol),
 fixture). Its lifecycle is ``queued -> running -> done`` with two
 off-ramps: ``interrupted`` (the daemon was stopped mid-run — the job is
 re-enqueued on restart and its obligation-level progress survives in the
-engine's checkpoint journal) and ``failed`` (the request itself was
-unservable: unknown protocol, bad parameters).
+result cache, :mod:`repro.engine.rcache`) and ``failed`` (the request
+itself was unservable: unknown protocol, bad parameters).
 
-Persistence follows the engine journal's pattern
-(:mod:`repro.engine.journal`): one append-only JSONL file,
-schema-versioned header, fingerprint-guarded records, torn-tail
-tolerance. The *fingerprint* here is the canonical hash of the request
-payload: every record carries both the id and the fingerprint, a loaded
-record whose embedded request no longer hashes to its recorded
-fingerprint is dropped as corrupt, and the fingerprint also names the
-job's engine checkpoint directory — so a restarted daemon resumes the
-same obligation journal for the same question, and the engine's own
-staleness guard (:class:`~repro.engine.journal.StaleJournalError`)
-refuses it if the code changed underneath.
+Persistence is one append-only JSONL file: schema-versioned header,
+fingerprint-guarded records, torn-tail tolerance. The *fingerprint* is
+the canonical hash of the request payload: every record carries both
+the id and the fingerprint, and a loaded record whose embedded request
+no longer hashes to its recorded fingerprint is dropped as corrupt.
+Which obligations a re-run may skip is not decided here: the result
+cache keys each obligation by the content it reads, so a restarted
+daemon re-uses exactly the results that still answer the same question.
 """
 
 from __future__ import annotations
@@ -228,8 +225,7 @@ class JobStore:
     Disk faults degrade, never abort: a failed append counts in
     ``write_errors`` and closes the handle, and the *next* record
     retries a reopen (a long-lived daemon should resume journaling once
-    disk pressure clears — unlike the engine journal, which latches off
-    for the remainder of its single run). Reopening repairs an
+    disk pressure clears). Reopening repairs an
     unterminated tail (the torn half-record a failed append may have
     left) by appending a newline, so the damaged line is isolated
     instead of fusing with the next record.

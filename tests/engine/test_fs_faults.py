@@ -3,9 +3,8 @@
 The contract under test (see ``repro.engine.faults`` "Filesystem
 faults"): an injected ``enospc``/``eio``/``eperm``/``torn`` fault on a
 write site never aborts a run — the result cache degrades to a counted
-miss, the checkpoint journal latches itself degraded and surfaces a
-``journal-write-error`` resilience event, and the serve job store drops
-the one damaged record and recovers on the next append. Verdicts are
+miss, and the serve job store drops the one damaged record and recovers
+on the next append. Verdicts are
 byte-identical to a fault-free run throughout.
 """
 
@@ -18,10 +17,8 @@ import pytest
 
 from repro.core.refinement import CheckResult
 from repro.engine.faults import FAULTS_ENV, FaultInjector, clear, install
-from repro.engine.journal import CheckpointJournal, run_fingerprint
-from repro.engine.obligations import Obligation, discharge
+from repro.engine.obligations import discharge
 from repro.engine.rcache import ObligationCache
-from repro.engine.resilience import ResilienceConfig
 from repro.engine.scheduler import ObligationOutcome
 from repro.serve.jobs import Job, JobRequest, JobStore
 
@@ -138,104 +135,6 @@ def test_unwritable_cache_directory_disables_cache(tmp_path):
     assert cache.store(FP, "id1", "I1", _outcome()) is False
     assert cache.stats.write_errors == 1  # the failed mkdir
     assert len(cache) == 0
-
-
-# --------------------------------------------------------------------- #
-# Checkpoint journal — degrade, never abort
-# --------------------------------------------------------------------- #
-
-CHAIN = [
-    Obligation(key="A", kind="abs", condition="A"),
-    Obligation(key="B", kind="I1", condition="B", deps=("A",)),
-]
-
-
-def test_journal_append_fault_latches_degraded(tmp_path):
-    install(FaultInjector.from_env("journal.append=eio"))
-    journal, completed = CheckpointJournal.open(
-        tmp_path, "case", run_fingerprint(None, None, CHAIN), len(CHAIN)
-    )
-    assert completed == {}
-    assert journal.record(_outcome("A")) is False
-    assert journal.degraded
-    assert journal.write_errors == 1
-    # Once degraded the journal is inert — no further writes, no raise.
-    assert journal.record(_outcome("B")) is False
-    assert journal.write_errors == 1
-    journal.close()
-
-
-def test_torn_journal_append_leaves_loadable_prefix(tmp_path):
-    """A torn append writes half a record; the established torn-tail
-    recovery must drop exactly that line on reload."""
-    fingerprint = run_fingerprint(None, None, CHAIN)
-    journal, _ = CheckpointJournal.open(tmp_path, "case", fingerprint, len(CHAIN))
-    assert journal.record(_outcome("A"))
-    install(FaultInjector.from_env("journal.append=torn"))
-    assert journal.record(_outcome("B")) is False
-    assert journal.degraded
-    journal.close()
-    clear()
-    reopened, completed = CheckpointJournal.open(
-        tmp_path, "case", fingerprint, len(CHAIN), resume=True
-    )
-    reopened.close()
-    assert set(completed) == {"A"}
-
-
-def test_headerless_journal_resumes_from_zero_not_stale(tmp_path):
-    """Found by the chaos soak: a header append killed by EIO leaves an
-    empty journal file; a later ``resume=True`` open must degrade to
-    resume-from-zero, not refuse with StaleJournalError (which failed
-    the retried job). A *parseable* foreign header must still refuse."""
-    fingerprint = run_fingerprint(None, None, CHAIN)
-    install(FaultInjector.from_env("journal.append=eio:1"))
-    broken, _ = CheckpointJournal.open(tmp_path, "case", fingerprint, len(CHAIN))
-    assert broken.degraded
-    broken.close()
-    clear()
-    assert (tmp_path / "case.jsonl").read_bytes() == b""
-    journal, completed = CheckpointJournal.open(
-        tmp_path, "case", fingerprint, len(CHAIN), resume=True
-    )
-    assert completed == {}
-    assert not journal.degraded
-    assert journal.record(_outcome("A"))  # journaling works again
-    journal.close()
-    # The loud path is untouched: a genuine journal of a different run
-    # still refuses to resume.
-    from repro.engine.journal import StaleJournalError
-
-    other, _ = CheckpointJournal.open(tmp_path, "case", "b" * 64, len(CHAIN))
-    other.record(_outcome("A"))
-    other.close()
-    with pytest.raises(StaleJournalError, match="different run"):
-        CheckpointJournal.open(
-            tmp_path, "case", fingerprint, len(CHAIN), resume=True
-        )
-
-
-def test_discharge_surfaces_journal_degradation_as_event(tmp_path):
-    """A run whose journal dies mid-flight still completes with the
-    fault-free verdict, and ``discharge()`` appends one
-    ``journal-write-error`` resilience event so operators see that a
-    resume would re-execute."""
-    app, universe = build("pingpong")
-    reference = discharge(app, universe)
-    install(FaultInjector.from_env("journal.append=enospc"))
-    result = discharge(
-        app,
-        universe,
-        resilience=ResilienceConfig(checkpoint_dir=str(tmp_path)),
-        checkpoint_label="pingpong",
-    )
-    assert result.holds is reference.holds
-    kinds = [e.kind for e in result.resilience_events]
-    assert "journal-write-error" in kinds
-    event = next(
-        e for e in result.resilience_events if e.kind == "journal-write-error"
-    )
-    assert "degraded" in event.detail
 
 
 # --------------------------------------------------------------------- #

@@ -5,8 +5,7 @@ order-insensitive, closure-sensitive), the content-addressed store
 (``ObligationCache`` — roundtrip, corruption tolerance, invalidation
 attribution), and the ``discharge()`` integration (uncacheable values
 degrade to execution, cached FAILs seed fail-fast, the pool backend hits
-the same cache, journal resume outranks the cache, and tracing a warm run
-perturbs nothing).
+the same cache, and tracing a warm run perturbs nothing).
 """
 
 from __future__ import annotations
@@ -20,16 +19,16 @@ from repro.core.refinement import CheckResult
 from repro.core.store import Store
 from repro.core.multiset import Multiset
 from repro.diagnose.fixtures import FIXTURES
-from repro.engine.journal import JournaledOutcome
+from repro.engine import rcache
 from repro.engine.obligations import build_obligations
 from repro.engine.rcache import (
+    CachedOutcome,
     DependencyFingerprinter,
     ObligationCache,
     Unfingerprintable,
     stable_digest,
     universe_fingerprint,
 )
-from repro.engine.resilience import ResilienceConfig
 from repro.engine.scheduler import ObligationOutcome, ProcessPoolScheduler
 from repro.obs import Tracer
 
@@ -123,6 +122,28 @@ def test_universe_fingerprint_is_iteration_order_insensitive():
     assert universe_fingerprint(forward) != universe_fingerprint(shrunk)
 
 
+def test_universe_fingerprint_is_computed_once_per_universe(monkeypatch):
+    app, universe = build("pingpong")
+    calls = []
+    real = rcache.universe_fingerprint
+
+    def counting(universe_, hasher=None):
+        calls.append(universe_)
+        return real(universe_, hasher)
+
+    monkeypatch.setattr(rcache, "universe_fingerprint", counting)
+    obligations = build_obligations(app, universe)
+    first = DependencyFingerprinter(app, universe)
+    second = DependencyFingerprinter(app, universe)
+    assert len(calls) == 1
+    assert [first.fingerprint(ob) for ob in obligations] == [
+        second.fingerprint(ob) for ob in obligations
+    ]
+    # A derived universe is a new object and is hashed afresh.
+    DependencyFingerprinter(app, universe.with_context(universe.context))
+    assert len(calls) == 2
+
+
 # --------------------------------------------------------------------- #
 # DependencyFingerprinter
 # --------------------------------------------------------------------- #
@@ -202,7 +223,7 @@ def test_store_lookup_roundtrip_with_witnesses(tmp_path):
     assert len(cache) == 1
 
     entry = cache.lookup(FP_A, IDENTITY, "I1")
-    assert isinstance(entry, JournaledOutcome)
+    assert isinstance(entry, CachedOutcome)
     result = entry.to_result()
     assert result.holds is False
     assert result.counterexamples == [("store", 1), ("store", 2)]
@@ -210,11 +231,12 @@ def test_store_lookup_roundtrip_with_witnesses(tmp_path):
     assert cache.stats.hits == 1 and cache.stats.stores == 1
 
 
-def test_store_refuses_incomplete_resumed_and_cached_outcomes(tmp_path):
+def test_store_refuses_incomplete_and_cached_outcomes(tmp_path):
     cache = ObligationCache(tmp_path)
     skipped = ObligationOutcome("I1", None, 0.0, os.getpid())
     assert not cache.store(FP_A, IDENTITY, "I1", skipped)
-    assert not cache.store(FP_A, IDENTITY, "I1", _outcome(resumed=True))
+    timed_out = ObligationOutcome("I1", None, 0.0, os.getpid(), timed_out=True)
+    assert not cache.store(FP_A, IDENTITY, "I1", timed_out)
     assert not cache.store(FP_A, IDENTITY, "I1", _outcome(cached=True))
     assert len(cache) == 0 and cache.stats.stores == 0
 
@@ -330,33 +352,6 @@ def test_pool_scheduler_shares_the_cache(tmp_path):
     assert warm.rcache_stats["hits"] == len(warm.cached_keys) > 0
     assert warm.rcache_stats["misses"] == 0
     assert condition_map(serial) == condition_map(cold) == condition_map(warm)
-
-
-def test_journal_resume_outranks_the_cache(tmp_path):
-    app, universe = build("pingpong")
-    resilience = ResilienceConfig(
-        checkpoint_dir=str(tmp_path / "ckpt"), resume=True
-    )
-    first = app.check(
-        universe,
-        jobs=1,
-        resilience=resilience,
-        checkpoint_label="pp",
-        cache=tmp_path / "cache",
-    )
-    assert first.holds and not first.resumed_keys
-    second = app.check(
-        universe,
-        jobs=1,
-        resilience=resilience,
-        checkpoint_label="pp",
-        cache=tmp_path / "cache",
-    )
-    # Every obligation is journaled, so the resume seeds everything and
-    # the cache is never consulted for them.
-    assert set(second.resumed_keys) == all_keys(app, universe)
-    assert not second.cached_keys
-    assert condition_map(first) == condition_map(second)
 
 
 def test_tracing_a_warm_run_perturbs_nothing_and_labels_spans(tmp_path):

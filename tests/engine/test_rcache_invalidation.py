@@ -223,17 +223,35 @@ def _obligations_of_condition(condition, keys):
     return {condition}
 
 
-@pytest.mark.parametrize("fixture_name", sorted(FIXTURES))
+@pytest.mark.parametrize(
+    "fixture_name,warmed_by",
+    [pytest.param(name, "complete", id=name) for name in sorted(FIXTURES)]
+    + [
+        pytest.param(name, "interrupted", id=f"{name}-interrupted")
+        for name in sorted(FIXTURES)
+    ],
+)
 def test_seeded_bug_is_never_masked_by_a_warm_correct_cache(
-    fixture_name, tmp_path
+    fixture_name, warmed_by, tmp_path, monkeypatch
 ):
+    """``interrupted`` is the resume case: the correct proof is stopped
+    mid-run, and the mutant then runs against the store that run left
+    behind — exactly what rerunning a killed run does. A resume store
+    keyed by obligation names alone reports both mutants as holding."""
     fixture = FIXTURES[fixture_name]
 
-    # Warm the cache with the correct proof: everything passes and is
-    # stored.
+    # Warm the cache with the correct proof: everything it completes
+    # passes and is stored.
     good_app, good_universe = _correct_broadcast_fixture_twin()
+    if warmed_by == "interrupted":
+        monkeypatch.setenv("REPRO_FAULTS", "I3=interrupt")
     good = good_app.check(good_universe, jobs=1, cache=tmp_path)
-    assert good.holds
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
+    if warmed_by == "interrupted":
+        assert good.interrupted
+        assert set(good.timings) == {"abs[Collect]", "I1", "I2"}
+    else:
+        assert good.holds
 
     # The mutant against the warm cache: its seeded failures must
     # re-execute (the mutated abstraction changed their fingerprints) and

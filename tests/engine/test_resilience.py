@@ -5,8 +5,8 @@ here with the deterministic injector (``repro.engine.faults``) and checked
 end to end: a seeded hang is killed by the per-obligation deadline, a
 worker ``os._exit`` is recovered by a pool rebuild + retry, a persistent
 crasher degrades to in-parent execution, a broken-pool budget degrades the
-whole run to serial, and Ctrl-C salvages completed outcomes (and flushes
-the journal) instead of dropping them.
+whole run to serial, and Ctrl-C salvages completed outcomes (already
+streamed to the result cache) instead of dropping them.
 
 The headline property — ISSUE acceptance — is *verdict identity*: under
 injection, a pool run terminates and agrees with a clean serial run on
@@ -28,8 +28,8 @@ from repro.core.context import GhostContext
 from repro.core.refinement import CheckResult
 from repro.core.universe import StoreUniverse
 from repro.engine.faults import FaultInjector, FaultSpec, clear, install
-from repro.engine.journal import CheckpointJournal
 from repro.engine.obligations import Obligation
+from repro.engine.rcache import ObligationCache
 from repro.engine.resilience import (
     DischargeInterrupted,
     ObligationTimeout,
@@ -45,6 +45,8 @@ from repro.engine.scheduler import (
 )
 from repro.protocols import pingpong, prodcons
 from repro.protocols.common import GHOST
+
+from .rcache_cases import condition_map
 
 CHAIN = [
     Obligation(key="A", kind="abs", condition="A"),
@@ -198,16 +200,14 @@ def test_serial_interrupt_salvages_completed_outcomes():
     assert all(o.result.holds for o in salvaged.values())
 
 
-def test_serial_interrupt_flushes_journal_before_raising(tmp_path):
+def test_serial_interrupt_stores_completed_outcomes_before_raising():
     install(FaultInjector([FaultSpec("C", "interrupt")]))
-    journal, _ = CheckpointJournal.open(tmp_path, "run", "f" * 64, len(CHAIN))
+    stored = []
     with pytest.raises(DischargeInterrupted):
         SerialScheduler(resilience=_fast_cfg()).run(
-            None, None, CHAIN, journal=journal
+            None, None, CHAIN, store=lambda outcome: stored.append(outcome.key)
         )
-    journal.close()
-    loaded = CheckpointJournal.load(tmp_path / "run.jsonl", "f" * 64)
-    assert set(loaded) == {"A", "B"}
+    assert stored == ["A", "B"]
 
 
 # --------------------------------------------------------------------- #
@@ -451,42 +451,47 @@ def test_protocol_verdicts_identical_serial_vs_faulted_pool(protocol):
 
 
 @pytest.mark.real_protocol
-def test_resume_reexecutes_only_unjournaled_obligations(tmp_path, monkeypatch):
-    """ISSUE acceptance: a killed-then-resumed run completes without
-    re-executing journaled obligations — asserted by counting executor
-    invocations across the interrupted run and the resumed run."""
+@pytest.mark.parametrize(
+    "backend", ["serial", pytest.param("pool", marks=needs_fork)]
+)
+def test_resume_reexecutes_only_uncached_obligations(backend, tmp_path):
+    """A killed-then-resumed run completes without re-executing what it
+    completed: the interrupted run streams exactly its completed
+    obligations into the result cache, the rerun reads exactly those
+    back, executes the rest, and reports the cold run's verdicts."""
     app, init_global = _protocol_instance("pingpong")
     universe = _universe_for(app, init_global)
-    calls = []
-    real_execute = obligations_mod.execute_obligation
+    cold = app.check(universe)
 
-    def counting(app_, universe_, ob, lm_universes=None):
-        calls.append(ob.key)
-        return real_execute(app_, universe_, ob, lm_universes=lm_universes)
+    def scheduler():
+        if backend == "serial":
+            return SerialScheduler(resilience=_fast_cfg())
+        return ProcessPoolScheduler(
+            2, warm=False, clamp=False, resilience=_fast_cfg()
+        )
 
-    monkeypatch.setattr(obligations_mod, "execute_obligation", counting)
-
-    # The injector fires before the executor is entered, so the first
-    # run's call list is exactly the set of completed (journaled) keys.
+    cache = ObligationCache(tmp_path)
     install(FaultInjector([FaultSpec("I2", "interrupt")]))
-    partial = obligations_mod.discharge(
-        app, universe, resilience=_fast_cfg(checkpoint_dir=str(tmp_path))
-    )
+    partial = app.check(universe, scheduler=scheduler(), cache=cache)
     assert partial.interrupted
-    journaled = set(calls)
-    assert journaled and "I2" not in journaled
+    # ``timings`` holds every outcome the scheduler recorded before the
+    # interrupt; none is skipped or faulted, so all completed.
+    completed = set(partial.timings)
+    stored = {e.key for e in cache.events if e.kind == "store"}
+    assert stored == completed
+    assert completed and "I2" not in completed
 
     clear()
-    calls.clear()
-    resumed = obligations_mod.discharge(
-        app,
-        universe,
-        resilience=_fast_cfg(checkpoint_dir=str(tmp_path), resume=True),
+    resumed = app.check(universe, scheduler=scheduler(), cache=cache)
+    assert not resumed.interrupted
+    assert len(stored) < resumed.num_obligations
+    assert set(resumed.cached_keys) == stored
+    # Only the obligations the interrupted run never finished executed
+    # (and were stored) this time.
+    assert resumed.rcache_stats["stores"] == (
+        resumed.num_obligations - len(stored)
     )
-    assert resumed.holds and not resumed.interrupted
-    assert set(resumed.resumed_keys) == journaled
-    assert journaled.isdisjoint(calls), "journaled obligations re-executed"
-    assert "I2" in calls  # the interrupted obligation itself did rerun
+    assert condition_map(resumed) == condition_map(cold)
 
 
 def teardown_module(_module=None):

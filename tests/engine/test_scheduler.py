@@ -77,6 +77,43 @@ def test_without_fail_fast_everything_runs(name, make, monkeypatch):
     assert all(o.result is not None for o in outcomes.values())
 
 
+@pytest.mark.parametrize("name,make", list(_backends()))
+def test_store_callback_receives_every_completed_outcome(
+    name, make, monkeypatch
+):
+    """The streaming-store hook: every completed outcome reaches
+    ``store`` exactly once, as recorded. (The pool also hands over its
+    fail-fast skips, which carry no result; the result cache refuses
+    those.)"""
+    monkeypatch.setattr(obligations_mod, "execute_obligation", _stub_execute)
+    stored = {}
+
+    def store(outcome):
+        assert outcome.key not in stored
+        stored[outcome.key] = outcome
+
+    outcomes = make().run(None, None, CHAIN, fail_fast=True, store=store)
+    assert all(outcomes[k] is o for k, o in stored.items())
+    assert {k for k, o in stored.items() if o.result is not None} == {"A", "D"}
+
+
+def test_seeded_verdicts_drive_fail_fast_skips(monkeypatch):
+    """Resume semantics at the scheduler level: a FAIL seeded from the
+    result cache for A must skip A's dependents exactly as a live FAIL
+    would."""
+    monkeypatch.setattr(
+        obligations_mod,
+        "execute_obligation",
+        lambda app, universe, ob, lm_universes=None: CheckResult(ob.key, True),
+    )
+    todo = [ob for ob in CHAIN if ob.key != "A"]
+    outcomes = SerialScheduler().run(
+        None, None, todo, fail_fast=True, seed_verdicts={"A": False}
+    )
+    assert outcomes["B"].skipped and outcomes["C"].skipped
+    assert outcomes["D"].result is not None and outcomes["D"].result.holds
+
+
 @pytest.mark.skipif(not _fork_available(), reason="requires fork start method")
 def test_backends_skip_identical_sets(monkeypatch):
     monkeypatch.setattr(obligations_mod, "execute_obligation", _stub_execute)

@@ -21,6 +21,7 @@ import pytest
 from repro.engine import faults
 from repro.protocols import pingpong
 from repro.serve import ServeConfig
+from repro.serve import daemon as daemon_mod
 from repro.serve.daemon import ServeDaemon
 
 PINGPONG = {"kind": "verify", "protocol": "pingpong", "params": {"rounds": 2}}
@@ -199,6 +200,32 @@ def test_sse_stream_replays_spans_and_terminates():
             json.loads(line.split(": ", 1)[1])
 
 
+def _event_names(harness, job_id):
+    with urllib.request.urlopen(
+        harness.base + f"/jobs/{job_id}/events", timeout=30
+    ) as resp:
+        body = resp.read().decode("utf-8")
+    return [
+        line.split(": ", 1)[1]
+        for line in body.splitlines()
+        if line.startswith("event: ")
+    ]
+
+
+def test_old_jobs_keep_status_and_result_but_not_spans(monkeypatch):
+    """Span replay is bounded: past ``REPLAY_JOBS`` finished jobs the
+    oldest channel drops its span frames, and keeps the rest."""
+    monkeypatch.setattr(daemon_mod, "REPLAY_JOBS", 1)
+    with DaemonHarness() as harness:
+        first = harness.run_job(PINGPONG)
+        second = harness.run_job(PINGPONG)
+        old = _event_names(harness, first["id"])
+        recent = _event_names(harness, second["id"])
+    assert "span" not in old
+    assert old[-2:] == ["status", "result"]
+    assert "span" in recent and recent[-1] == "result"
+
+
 def test_draining_daemon_refuses_new_jobs_then_exits():
     harness = DaemonHarness()
     with harness:
@@ -210,9 +237,10 @@ def test_draining_daemon_refuses_new_jobs_then_exits():
 
 def test_sigterm_midjob_journals_then_restart_resumes(tmp_path):
     """In-process version of the CI serve-smoke drill: hang an
-    obligation, drain mid-job, assert the journal recorded the
+    obligation, drain mid-job, assert the job journal recorded the
     interruption, restart on the same state, and watch the backlog job
-    resume to completion."""
+    resume to completion from the obligations the first attempt stored
+    in the result cache."""
     state = str(tmp_path)
     faults.install(
         faults.FaultInjector(
@@ -229,7 +257,7 @@ def test_sigterm_midjob_journals_then_restart_resumes(tmp_path):
                 if detail["status"] == "running":
                     break
                 time.sleep(0.05)
-            time.sleep(1.0)  # journal the pre-hang obligations, hit the hang
+            time.sleep(1.0)  # store the pre-hang obligations, hit the hang
         # __exit__ drained: the hung job must be journaled as interrupted.
         events = [
             json.loads(line)["event"]
@@ -247,7 +275,7 @@ def test_sigterm_midjob_journals_then_restart_resumes(tmp_path):
         detail = harness.wait(job_id)
         assert detail["status"] == "done"
         assert detail["result"]["status"] == "OK"
-        assert detail["result"]["obligations"]["resumed"] > 0
+        assert detail["result"]["obligations"]["cached"] > 0
         assert detail["attempts"] >= 2
 
 

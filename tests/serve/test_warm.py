@@ -34,13 +34,31 @@ def test_second_warm_run_executes_zero_obligations(tmp_path):
     warm_state = WarmState(rcache=str(tmp_path / "rcache"))
     pingpong.verify(rounds=2, warm=warm_state)
     report = pingpong.verify(rounds=2, warm=warm_state)
-    total = cached = resumed = 0
+    total = cached = 0
     for _label, result in report.is_results:
         total += result.num_obligations
         cached += len(result.cached_keys)
-        resumed += len(result.resumed_keys)
     assert total > 0
-    assert total - cached - resumed == 0, (total, cached, resumed)
+    assert total - cached == 0, (total, cached)
+
+
+def test_resident_cache_keeps_only_the_last_jobs_events(tmp_path):
+    """Repeat jobs are all cache hits; the resident cache must not keep
+    one event per hit for the life of the daemon."""
+    from repro.serve.executor import run_request
+    from repro.serve.jobs import JobRequest
+
+    warm_state = WarmState(rcache=str(tmp_path / "rcache"))
+    request = JobRequest.from_payload(
+        {"kind": "verify", "protocol": "pingpong", "params": {"rounds": 2}}
+    )
+    budgets = {"max_configs": None, "jobs": None, "clamped": False}
+    sizes = []
+    for _ in range(3):
+        payload = run_request(request, warm_state, budgets)
+        sizes.append(len(warm_state.rcache.events))
+    assert payload["obligations"]["executed"] == 0
+    assert sizes[1] == sizes[2] == payload["obligations"]["total"]
 
 
 def test_warm_state_reuses_universes_and_pipelines():

@@ -164,14 +164,16 @@ def test_artifact_upload_requires_files(workflow, job):
 
 def test_fault_injection_job_interrupts_then_resumes(workflow):
     """The resilience job must be hang-bounded (``timeout-minutes``), run
-    the fault/journal regression files, demand the partial-report exit
-    code (130) from the injected-interrupt run, and resume from the
-    salvaged journal afterwards."""
+    the fault regression files, demand the partial-report exit code (130)
+    from the injected-interrupt ``--cache`` run, and rerun it against the
+    same cache, gating on the ``rcache:`` split: something was read back
+    (``cached > 0``) and not everything re-executed
+    (``executed < total``)."""
     job = workflow["jobs"]["fault-injection"]
     assert 0 < job["timeout-minutes"] <= 30
     commands = [step["run"] for step in job["steps"] if "run" in step]
     suite = next(cmd for cmd in commands if "pytest" in cmd)
-    for name in ("test_faults.py", "test_resilience.py", "test_journal.py"):
+    for name in ("test_faults.py", "test_resilience.py"):
         assert name in suite
         assert (ROOT / "tests" / "engine" / name).exists()
     interrupted = next(
@@ -180,9 +182,15 @@ def test_fault_injection_job_interrupts_then_resumes(workflow):
         if "REPRO_FAULTS" in (step.get("env") or {})
     )
     assert "interrupt" in interrupted["env"]["REPRO_FAULTS"]
-    assert "--checkpoint" in interrupted["run"]
+    assert "--cache ckpt" in interrupted["run"]
     assert "130" in interrupted["run"]
-    assert any("--resume" in cmd for cmd in commands)
+    rerun = next(
+        cmd
+        for cmd in commands
+        if "--cache-stats" in cmd and "--cache ckpt" in cmd
+    )
+    assert 'test "$cached" -gt 0' in rerun
+    assert 'test "$executed" -lt "$total"' in rerun
 
 
 def test_incremental_verification_job_proves_cache_reuse(workflow):
@@ -230,6 +238,19 @@ def test_chaos_soak_job_is_seeded_and_gated(workflow):
     assert "--seed" in soak
     assert "chaos-events.jsonl" in soak
     assert (ROOT / "benchmarks" / "chaos_soak.py").exists()
+    # The soak arms disk faults at two write sites, and both must still
+    # exist: a fault keyed by a deleted site never fires.
+    import re
+
+    soak_source = (ROOT / "benchmarks" / "chaos_soak.py").read_text()
+    armed = re.search(r'^FAULTS = "([^"]+)"', soak_source, re.M).group(1)
+    sites = [spec.split("=")[0] for spec in armed.split(";")]
+    assert len(sites) == 2
+    engine = "".join(
+        path.read_text() for path in (ROOT / "src" / "repro").rglob("*.py")
+    )
+    for site in sites:
+        assert f'"{site}"' in engine, site
     overhead = next(cmd for cmd in commands if "--sandbox-overhead" in cmd)
     assert "set -o pipefail" in overhead
     # The committed benchmark already satisfies what CI re-measures.
@@ -267,8 +288,8 @@ def test_serve_smoke_job_gates_warm_reuse_and_resume(workflow):
     """The serve-smoke job must boot the daemon, prove the second
     identical request executes zero obligations, run the sustained load
     test that produces the uploaded histogram, SIGTERM the daemon
-    mid-job under an injected hang, and assert the journal-backed
-    resume completes after restart."""
+    mid-job under an injected hang, and assert the restarted job resumes
+    from the result cache (``cached > 0``)."""
     job = workflow["jobs"]["serve-smoke"]
     assert "fast" in job["needs"]
     assert 0 < job["timeout-minutes"] <= 30
@@ -294,8 +315,8 @@ def test_serve_smoke_job_gates_warm_reuse_and_resume(workflow):
     assert "kill -TERM" in hang_step["run"]
     assert '"event": "interrupted"' in hang_step["run"]
 
-    resume = next(cmd for cmd in commands if "resumed" in cmd)
-    assert 'split["resumed"] > 0' in resume
+    resume = next(cmd for cmd in commands if 'split["cached"]' in cmd)
+    assert 'split["cached"] > 0' in resume
 
     upload = next(
         step
