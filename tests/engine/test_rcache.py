@@ -231,12 +231,15 @@ def test_store_lookup_roundtrip_with_witnesses(tmp_path):
     assert cache.stats.hits == 1 and cache.stats.stores == 1
 
 
-def test_store_refuses_incomplete_and_cached_outcomes(tmp_path):
+def test_store_refuses_incomplete_resumed_and_cached_outcomes(tmp_path):
+    """A resume reads the cache, so a resumed outcome is a ``cached`` one."""
     cache = ObligationCache(tmp_path)
     skipped = ObligationOutcome("I1", None, 0.0, os.getpid())
     assert not cache.store(FP_A, IDENTITY, "I1", skipped)
     timed_out = ObligationOutcome("I1", None, 0.0, os.getpid(), timed_out=True)
     assert not cache.store(FP_A, IDENTITY, "I1", timed_out)
+    crashed = ObligationOutcome("I1", None, 0.0, os.getpid(), error="boom")
+    assert not cache.store(FP_A, IDENTITY, "I1", crashed)
     assert not cache.store(FP_A, IDENTITY, "I1", _outcome(cached=True))
     assert len(cache) == 0 and cache.stats.stores == 0
 
